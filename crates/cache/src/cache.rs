@@ -20,10 +20,43 @@ pub struct CacheResponse {
     pub fill: Option<u64>,
 }
 
-/// Tag sentinel for an invalid (never-filled) line. Unreachable as a real
-/// tag: `new` requires at least two lines, so `tag = addr / line / sets`
-/// can never reach `u64::MAX`.
-const INVALID_TAG: u64 = u64::MAX;
+/// Per-line state, one packed word per line: `0` is an invalid line, and
+/// any other value is `(tag + 1) << 1 | dirty`. The store starts one byte
+/// wide and is widened once, the first time a tag does not fit; widening
+/// keeps every word's value, so the encoding is the same in both.
+#[derive(Debug, Clone)]
+enum Lines {
+    Narrow(Vec<u8>),
+    Wide(Vec<u64>),
+}
+
+/// A packed line word as stored in [`Lines`].
+trait Word: Copy {
+    fn get(self) -> u64;
+    fn put(word: u64) -> Self;
+}
+
+impl Word for u8 {
+    #[inline]
+    fn get(self) -> u64 {
+        u64::from(self)
+    }
+    #[inline]
+    fn put(word: u64) -> Self {
+        word as u8
+    }
+}
+
+impl Word for u64 {
+    #[inline]
+    fn get(self) -> u64 {
+        self
+    }
+    #[inline]
+    fn put(word: u64) -> Self {
+        word
+    }
+}
 
 /// A set-associative write-back, write-allocate cache with LRU replacement.
 ///
@@ -48,10 +81,10 @@ pub struct SetAssocCache {
     /// powers of two (every shipped config): set/tag extraction by
     /// shift/mask instead of 64-bit div/mod on the per-access path.
     shifts: Option<(u8, u8)>,
-    /// `tags[set * ways + way]`; [`INVALID_TAG`] = invalid.
-    tags: Vec<u64>,
-    dirty: Vec<bool>,
-    /// Per-line LRU stamp; larger = more recent.
+    /// `lines[set * ways + way]`.
+    lines: Lines,
+    /// Per-line LRU stamp; larger = more recent. Empty when direct-mapped,
+    /// where there is no replacement choice.
     stamps: Vec<u64>,
     clock: u64,
     stats: CacheStats,
@@ -64,7 +97,8 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics if the shape is degenerate (zero sizes, capacity not divisible
-    /// into sets, or non-power-of-two line size).
+    /// into sets, non-power-of-two line size, or a way smaller than four
+    /// bytes, whose tags could not be packed with a valid and dirty bit).
     pub fn new(capacity_bytes: u64, ways: usize, line_bytes: u64) -> Self {
         assert!(
             capacity_bytes > 0 && ways > 0 && line_bytes > 0,
@@ -81,6 +115,12 @@ impl SetAssocCache {
         );
         let sets = lines / ways as u64;
         assert!(lines > 1, "cache must hold at least two lines");
+        // tag = addr / (sets * line_bytes) < 2^62, so `(tag + 1) << 1 | 1`
+        // fits in a u64.
+        assert!(
+            sets * line_bytes >= 4,
+            "each way must span at least 4 bytes"
+        );
         let n = lines as usize;
         let shifts = if sets.is_power_of_two() {
             Some((
@@ -95,9 +135,8 @@ impl SetAssocCache {
             ways,
             line_bytes,
             shifts,
-            tags: vec![INVALID_TAG; n],
-            dirty: vec![false; n],
-            stamps: vec![0; n],
+            lines: Lines::Narrow(vec![0; n]),
+            stamps: if ways > 1 { vec![0; n] } else { Vec::new() },
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -129,7 +168,7 @@ impl SetAssocCache {
     }
 
     #[inline]
-    fn set_of(&self, addr: u64) -> u64 {
+    pub(crate) fn set_of(&self, addr: u64) -> u64 {
         if let Some((line, set)) = self.shifts {
             return (addr >> line) & ((1 << set) - 1);
         }
@@ -152,49 +191,43 @@ impl SetAssocCache {
         (addr / self.line_bytes) / self.sets
     }
 
+    /// The packed word of a clean line holding `addr`'s tag.
+    #[inline]
+    fn clean_word(&self, addr: u64) -> u64 {
+        (self.tag_of(addr) + 1) << 1
+    }
+
     /// Performs one access, allocating on miss (write-allocate) and
     /// returning any dirty victim.
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheResponse {
         self.clock += 1;
         let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let base = (set * self.ways as u64) as usize;
+        let clean = self.clean_word(addr);
+        if let Lines::Narrow(narrow) = &self.lines {
+            if clean | 1 > u64::from(u8::MAX) {
+                self.lines = Lines::Wide(narrow.iter().map(|&w| u64::from(w)).collect());
+            }
+        }
+        let base = set as usize * self.ways;
         let slots = base..base + self.ways;
-
-        // Hit path.
-        for i in slots.clone() {
-            if self.tags[i] == tag {
-                self.stamps[i] = self.clock;
-                self.dirty[i] |= is_write;
-                self.stats.record(true, is_write, false);
-                return CacheResponse {
-                    hit: true,
-                    writeback: None,
-                    fill: None,
-                };
-            }
-        }
-
-        // Miss: pick the first invalid way, else the LRU way. The slot
-        // range is never empty (`new` rejects zero ways), so the scan
-        // always lands on something.
-        let mut victim = slots.start;
-        for i in slots {
-            if self.tags[i] == INVALID_TAG {
-                victim = i;
-                break;
-            }
-            if self.stamps[i] < self.stamps[victim] {
-                victim = i;
-            }
-        }
-        let writeback = match (self.tags[victim], self.dirty[victim]) {
-            (old_tag, true) if old_tag != INVALID_TAG => Some(self.rebuild_addr(old_tag, set)),
-            _ => None,
+        let stamps = if self.stamps.is_empty() {
+            &mut []
+        } else {
+            &mut self.stamps[slots.clone()]
         };
-        self.tags[victim] = tag;
-        self.dirty[victim] = is_write;
-        self.stamps[victim] = self.clock;
+        let evicted = match &mut self.lines {
+            Lines::Narrow(v) => access_set(&mut v[slots], stamps, self.clock, clean, is_write),
+            Lines::Wide(v) => access_set(&mut v[slots], stamps, self.clock, clean, is_write),
+        };
+        let Some(old) = evicted else {
+            self.stats.record(true, is_write, false);
+            return CacheResponse {
+                hit: true,
+                writeback: None,
+                fill: None,
+            };
+        };
+        let writeback = (old & 1 == 1).then(|| self.rebuild_addr((old >> 1) - 1, set));
         self.stats.record(false, is_write, writeback.is_some());
         CacheResponse {
             hit: false,
@@ -206,11 +239,53 @@ impl SetAssocCache {
     /// True when the line containing `addr` is currently cached (no state
     /// change, no statistics).
     pub fn probe(&self, addr: u64) -> bool {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let base = (set * self.ways as u64) as usize;
-        (base..base + self.ways).any(|i| self.tags[i] == tag)
+        let base = self.set_of(addr) as usize * self.ways;
+        let clean = self.clean_word(addr);
+        let slots = base..base + self.ways;
+        match &self.lines {
+            Lines::Narrow(v) => v[slots].iter().any(|w| w.get() & !1 == clean),
+            Lines::Wide(v) => v[slots].iter().any(|w| w.get() & !1 == clean),
+        }
     }
+}
+
+/// Looks up the clean word `clean` in one set's `lines`, updating dirty
+/// bits and the set's LRU `stamps` (empty when direct-mapped). Returns
+/// `None` on a hit, or the word the miss evicted (`0` for an invalid way).
+/// The store must be wide enough for `clean | 1`.
+#[inline]
+fn access_set<W: Word>(
+    lines: &mut [W],
+    stamps: &mut [u64],
+    clock: u64,
+    clean: u64,
+    is_write: bool,
+) -> Option<u64> {
+    let fresh = clean | u64::from(is_write);
+    // Direct-mapped: no stamps and no replacement choice.
+    if stamps.is_empty() {
+        let old = lines[0].get();
+        if old & !1 == clean {
+            lines[0] = W::put(old | fresh);
+            return None;
+        }
+        lines[0] = W::put(fresh);
+        return Some(old);
+    }
+    if let Some(way) = lines.iter().position(|w| w.get() & !1 == clean) {
+        stamps[way] = clock;
+        lines[way] = W::put(lines[way].get() | fresh);
+        return None;
+    }
+    // Miss: the first invalid way, else the LRU way.
+    let victim = lines
+        .iter()
+        .position(|w| w.get() == 0)
+        .unwrap_or_else(|| (0..lines.len()).min_by_key(|&way| stamps[way]).unwrap_or(0));
+    let old = lines[victim].get();
+    lines[victim] = W::put(fresh);
+    stamps[victim] = clock;
+    Some(old)
 }
 
 #[cfg(test)]
@@ -293,6 +368,24 @@ mod tests {
         assert_eq!(l2.capacity_bytes(), 1 << 20);
         let l3 = SetAssocCache::new(64 << 20, 1, 64);
         assert_eq!(l3.sets(), 1 << 20);
+    }
+
+    #[test]
+    fn store_starts_narrow_and_widens_once() {
+        let mut c = SetAssocCache::new(128, 1, 64);
+        assert!(c.stamps.is_empty(), "direct-mapped keeps no LRU stamps");
+        c.access(126 * 128, true); // tag 126: the widest that fits a byte
+        assert!(matches!(c.lines, Lines::Narrow(_)));
+        let r = c.access(127 * 128, false);
+        assert!(matches!(c.lines, Lines::Wide(_)));
+        assert_eq!(r.writeback, Some(126 * 128), "dirty narrow line survives");
+        assert!(c.probe(127 * 128));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 4 bytes")]
+    fn tiny_ways_rejected() {
+        SetAssocCache::new(4, 2, 2);
     }
 
     #[test]

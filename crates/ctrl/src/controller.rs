@@ -539,10 +539,11 @@ impl<P: RefreshPolicy> MemoryController<P> {
     /// mid-run; the episode's end restores them. Processed at every policy
     /// wakeup, so transitions take effect within one refresh slot.
     fn apply_vrt_transitions(&mut self, now: Instant) {
+        let Some(inj) = self.faults.as_mut() else {
+            return;
+        };
         let geometry = *self.device.geometry();
-        if let Some(inj) = self.faults.as_mut() {
-            inj.apply_vrt_transitions(self.device.retention_mut(), &geometry, now);
-        }
+        inj.apply_vrt_transitions(self.device.retention_mut(), &geometry, now);
     }
 
     /// Processes every patrol scrub slot and watchdog epoch due by `t`.
@@ -1002,10 +1003,9 @@ impl<P: RefreshPolicy> MemoryController<P> {
         // The refreshed row's charge is restored: its accumulated
         // disturbance pressure clears, and the bank's RAA counter gets
         // DDR5's REF relief.
-        let geometry = *self.device.geometry();
         if let Some(inj) = self.faults.as_mut() {
             inj.note_row_restored(
-                &geometry,
+                self.device.geometry(),
                 RowAddr {
                     rank,
                     bank,
@@ -1014,7 +1014,7 @@ impl<P: RefreshPolicy> MemoryController<P> {
             );
         }
         if let Some(rfm) = self.rfm.as_mut() {
-            rfm.note_refresh(geometry.bank_index(rank, bank));
+            rfm.note_refresh(self.device.geometry().bank_index(rank, bank));
         }
         Ok(())
     }
@@ -1025,14 +1025,14 @@ impl<P: RefreshPolicy> MemoryController<P> {
     /// the ECC error state, where the SECDED path classifies them as CEs
     /// or UEs on the next read or scrub.
     fn apply_disturbance(&mut self, aggressor: RowAddr, now: Instant) {
-        let geometry = *self.device.geometry();
         let Some(inj) = self.faults.as_mut() else {
             return;
         };
         if !inj.has_disturbance() {
             return;
         }
-        let flips = inj.note_activation(&geometry, aggressor, now);
+        let geometry = self.device.geometry();
+        let flips = inj.note_activation(geometry, aggressor, now);
         if flips.is_empty() {
             return;
         }
