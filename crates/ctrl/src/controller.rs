@@ -559,12 +559,7 @@ impl<P: RefreshPolicy> MemoryController<P> {
             .map(|s| s.next_slot())
             .filter(|s| *s <= t)
         {
-            let victim = self
-                .ecc
-                .as_ref()
-                .and_then(|l| l.scrubber.as_ref())
-                .and_then(|s| s.pick_victim(self.device.retention()));
-            if let Some(flat) = victim {
+            if let Some(flat) = self.device.retention_mut().earliest_deadline() {
                 self.scrub_one(flat, slot)?;
                 self.stats.scrubs_issued += 1;
             }

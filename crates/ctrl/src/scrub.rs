@@ -11,12 +11,17 @@
 //!
 //! Victims are picked in *deadline order*: the row whose retention
 //! deadline expires soonest (`last_restore + row_deadline`) is scrubbed
-//! first. This makes the scrubber chase exactly the rows the refresh
-//! schedule is about to service, which maximises the counter-reset savings
-//! and reaches weak (tight-deadline) rows before they decay further.
+//! first, ties going to the lower row. This makes the scrubber chase
+//! exactly the rows the refresh schedule is about to service, which
+//! maximises the counter-reset savings and reaches weak (tight-deadline)
+//! rows before they decay further. The victim comes from the retention
+//! tracker's earliest-deadline index
+//! ([`RetentionTracker::earliest_deadline`]), which costs amortised
+//! O(log rows) per restore instead of a scan of every row per slot.
+//!
+//! [`RetentionTracker::earliest_deadline`]: smartrefresh_dram::RetentionTracker::earliest_deadline
 
 use smartrefresh_dram::time::{Duration, Instant};
-use smartrefresh_dram::RetentionTracker;
 
 /// Patrol scrub schedule parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,26 +129,11 @@ impl PatrolScrubber {
             self.next_slot = t;
         }
     }
-
-    /// Picks the scrub victim in deadline order: the flat row index whose
-    /// retention deadline (`last_restore + row_deadline`) expires soonest.
-    /// Ties break toward the lower index. `None` for an empty tracker.
-    pub fn pick_victim(&self, tracker: &RetentionTracker) -> Option<u64> {
-        let mut best: Option<(Instant, u64)> = None;
-        for flat in 0..tracker.len() as u64 {
-            let deadline = tracker.last_restore(flat) + tracker.row_deadline(flat);
-            if best.is_none_or(|(d, _)| deadline < d) {
-                best = Some((deadline, flat));
-            }
-        }
-        best.map(|(_, flat)| flat)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smartrefresh_dram::Geometry;
 
     #[test]
     fn covering_divides_the_window() {
@@ -202,22 +192,5 @@ mod tests {
         // Within the period: honoured.
         s.postpone_to(base + Duration::from_us(7));
         assert_eq!(s.next_slot(), base + Duration::from_us(7));
-    }
-
-    #[test]
-    fn victim_is_the_earliest_deadline() {
-        let g = Geometry::new(1, 1, 8, 4, 64);
-        let mut tracker = RetentionTracker::new(&g, Duration::from_ms(64));
-        // All rows restored at t=0 with equal deadlines: row 0 wins the tie.
-        let s = PatrolScrubber::new(ScrubConfig {
-            interval: Duration::from_us(1),
-        });
-        assert_eq!(s.pick_victim(&tracker), Some(0));
-        // Tighten row 5's deadline: it becomes the victim.
-        tracker.set_row_deadline(5, Duration::from_ms(4));
-        assert_eq!(s.pick_victim(&tracker), Some(5));
-        // Restore row 5 recently enough and row 0 leads again.
-        tracker.restore(5, Instant::ZERO + Duration::from_ms(61));
-        assert_eq!(s.pick_victim(&tracker), Some(0));
     }
 }

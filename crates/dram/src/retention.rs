@@ -11,6 +11,10 @@
 //! what the paper's *optimality* metric (§4.4) is computed from: a scheme is
 //! 100% optimal if every row is restored exactly at the retention deadline,
 //! never earlier.
+//!
+//! Finally it answers which row's deadline (`last_restore + row_deadline`)
+//! expires soonest — the patrol scrubber's victim — from an index that
+//! costs a restore nothing ([`RetentionTracker::earliest_deadline`]).
 
 use crate::geometry::Geometry;
 use crate::time::{Duration, Instant};
@@ -50,6 +54,69 @@ pub struct RetentionTracker {
     /// data-loss window that actually happened (the row sat decayed until
     /// this restore rewrote it). Detected inline, O(1) per restore.
     late_restores: Vec<LateRestore>,
+    /// Earliest-deadline index, built by the first
+    /// [`earliest_deadline`](RetentionTracker::earliest_deadline) query and
+    /// dropped when every deadline changes at once.
+    deadline_index: Option<DeadlineIndex>,
+}
+
+/// A winner tree over rows keyed by `(deadline, row)`.
+///
+/// A row's stored key is a *lower bound* on its true deadline: a restore
+/// only moves `last_restore` forward, so it may leave the stored key stale
+/// without touching the index. The root is therefore exact once its own
+/// key is: every other row's true key is at least its stored key, which
+/// is at least the root's. A query re-derives the root's key until it
+/// holds, O(log rows) per re-derived row. A deadline change, which can
+/// move a key down, updates its leaf at once.
+#[derive(Debug, Clone)]
+struct DeadlineIndex {
+    /// `nodes[1]` is the root and `nodes[leaves + row]` holds `row`'s
+    /// stored `(key, row)`; every inner node holds the earlier of its two
+    /// children, the left one on equal keys. Every row under a left child
+    /// is lower than every row under its sibling, so ties go to the lower
+    /// row. Leaves past the last row hold `Instant::MAX` and never win.
+    nodes: Vec<(Instant, u32)>,
+    leaves: usize,
+}
+
+impl DeadlineIndex {
+    fn build(keys: impl ExactSizeIterator<Item = Instant>) -> Self {
+        assert!(
+            keys.len() <= u32::MAX as usize,
+            "too many rows for the deadline index"
+        );
+        let leaves = keys.len().next_power_of_two();
+        let mut nodes = vec![(Instant::MAX, u32::MAX); 2 * leaves];
+        for (row, key) in keys.enumerate() {
+            nodes[leaves + row] = (key, row as u32);
+        }
+        let mut index = DeadlineIndex { nodes, leaves };
+        for node in (1..leaves).rev() {
+            index.replay(node);
+        }
+        index
+    }
+
+    /// Recomputes inner node `node` from its children.
+    fn replay(&mut self, node: usize) {
+        let (left, right) = (self.nodes[2 * node], self.nodes[2 * node + 1]);
+        // Comparing the keys alone (not the pairs) is what keeps this fast.
+        self.nodes[node] = if left.0 <= right.0 { left } else { right };
+    }
+
+    fn root(&self) -> (Instant, u32) {
+        self.nodes[1]
+    }
+
+    fn set(&mut self, row: usize, key: Instant) {
+        let mut node = self.leaves + row;
+        self.nodes[node] = (key, row as u32);
+        while node > 1 {
+            node /= 2;
+            self.replay(node);
+        }
+    }
 }
 
 /// One detected data-loss window: a restore that arrived after the row's
@@ -93,6 +160,7 @@ impl RetentionTracker {
             interval_hist: vec![0; buckets],
             restores: 0,
             late_restores: Vec::new(),
+            deadline_index: None,
         }
     }
 
@@ -120,6 +188,7 @@ impl RetentionTracker {
                 .map(|m| Duration::from_ps(base.as_ps() << m))
                 .collect(),
         );
+        self.deadline_index = None;
     }
 
     /// The deadline for a specific row (the base retention unless a profile
@@ -150,7 +219,11 @@ impl RetentionTracker {
         let per_row = self
             .per_row
             .get_or_insert_with(|| vec![self.retention; self.last_restore.len()]);
-        per_row[flat_index as usize] = deadline;
+        let row = flat_index as usize;
+        per_row[row] = deadline;
+        if let Some(index) = &mut self.deadline_index {
+            index.set(row, self.last_restore[row] + deadline);
+        }
     }
 
     /// Uniformly scales every row's deadline by `factor` (e.g. thermal
@@ -171,6 +244,7 @@ impl RetentionTracker {
                 *d = scale(*d);
             }
         }
+        self.deadline_index = None;
     }
 
     /// Number of rows tracked.
@@ -221,6 +295,34 @@ impl RetentionTracker {
     /// [`violations`]: RetentionTracker::violations
     pub fn late_restores(&self) -> &[LateRestore] {
         &self.late_restores
+    }
+
+    /// The row whose deadline (`last_restore + row_deadline`) expires
+    /// soonest, ties going to the lower flat index; `None` when tracking
+    /// no rows.
+    ///
+    /// The first call builds the index in O(rows). After that a restore
+    /// costs the index nothing, and a call costs O(log rows) for each row
+    /// restored since it last surfaced at the front.
+    pub fn earliest_deadline(&mut self) -> Option<u64> {
+        if self.is_empty() {
+            return None;
+        }
+        let (last_restore, per_row, retention) =
+            (&self.last_restore, &self.per_row, self.retention);
+        let deadline =
+            |row: usize| last_restore[row] + per_row.as_ref().map_or(retention, |v| v[row]);
+        let index = self
+            .deadline_index
+            .get_or_insert_with(|| DeadlineIndex::build((0..last_restore.len()).map(deadline)));
+        loop {
+            let (stored, row) = index.root();
+            let exact = deadline(row as usize);
+            if stored == exact {
+                return Some(u64::from(row));
+            }
+            index.set(row as usize, exact);
+        }
     }
 
     /// The last restore instant for a row.
@@ -405,6 +507,34 @@ mod tests {
     fn set_row_deadline_checks_bounds() {
         let mut t = RetentionTracker::new(&small(), Duration::from_ms(64));
         t.set_row_deadline(999, Duration::from_ms(1));
+    }
+
+    #[test]
+    fn earliest_deadline_follows_restores_and_deadline_changes() {
+        let mut t = RetentionTracker::new(&Geometry::new(1, 1, 8, 4, 64), Duration::from_ms(64));
+        // All rows restored at t=0 with equal deadlines: row 0 wins the tie.
+        assert_eq!(t.earliest_deadline(), Some(0));
+        // Tighten row 5's deadline: it becomes the victim.
+        t.set_row_deadline(5, Duration::from_ms(4));
+        assert_eq!(t.earliest_deadline(), Some(5));
+        // Restore row 5 recently enough and row 0 leads again.
+        t.restore(5, Instant::ZERO + Duration::from_ms(61));
+        assert_eq!(t.earliest_deadline(), Some(0));
+        // Restoring rows 0..4 hands the lead to row 1, then to row 6.
+        t.restore(0, Instant::ZERO + Duration::from_ms(1));
+        assert_eq!(t.earliest_deadline(), Some(1));
+        for row in 1..5 {
+            t.restore(row, Instant::ZERO + Duration::from_ms(1));
+        }
+        assert_eq!(t.earliest_deadline(), Some(6));
+    }
+
+    #[test]
+    fn earliest_deadline_of_no_rows_is_none() {
+        // `Geometry` rejects zero rows, so empty the tracker directly.
+        let mut t = RetentionTracker::new(&small(), Duration::from_ms(64));
+        t.last_restore.clear();
+        assert_eq!(t.earliest_deadline(), None);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 
 use smartrefresh_dram::rng::Rng;
 use smartrefresh_dram::time::{Duration, Instant};
-use smartrefresh_dram::{DramDevice, Geometry, RetentionProfile, RowAddr, TimingParams};
+use smartrefresh_dram::{
+    DramDevice, Geometry, RetentionProfile, RetentionTracker, RowAddr, TimingParams,
+};
 
 fn sample_geometry(rng: &mut Rng) -> Geometry {
     let ranks = rng.gen_range(1u32..3);
@@ -165,4 +167,94 @@ fn busy_horizons_monotone() {
             }
         }
     }
+}
+
+/// The linear scan the earliest-deadline index replaced: the row with the
+/// smallest `(last_restore + row_deadline, row)`.
+fn earliest_deadline_by_scan(t: &RetentionTracker) -> Option<u64> {
+    (0..t.len() as u64).min_by_key(|&r| (t.last_restore(r) + t.row_deadline(r), r))
+}
+
+/// Drives one tracker through `steps` seeded operations — in-order and
+/// out-of-order restores, tightened and loosened row deadlines, uniform
+/// scaling and whole profiles — and checks the index's winner against the
+/// scan after every one. Restore times fall on a coarse grid so equal
+/// deadlines (ties) are common.
+fn check_index_against_scan(g: &Geometry, seed: u64, steps: usize) {
+    let mut rng = Rng::seed_from_u64(seed);
+    let base = Duration::from_ms(64);
+    let mut t = RetentionTracker::new(g, base);
+    let rows = t.len() as u64;
+    let grid = Duration::from_us(250);
+    let mut now = Instant::ZERO;
+    assert_eq!(t.earliest_deadline(), earliest_deadline_by_scan(&t));
+    for step in 0..steps {
+        let row = rng.gen_range(0..rows);
+        match rng.gen_range(0u32..100) {
+            0..=59 => {
+                now += grid * rng.gen_range(0u64..4);
+                t.restore(row, now);
+            }
+            60..=69 => {
+                // Back in time: out of order (and ignored by the tracker)
+                // whenever the row was restored since.
+                let back = grid * rng.gen_range(1u64..8);
+                t.restore(
+                    row,
+                    Instant::from_ps(now.as_ps().saturating_sub(back.as_ps())),
+                );
+            }
+            70..=79 => {
+                let tighter = Duration::from_ps((t.row_deadline(row).as_ps() / 4).max(1));
+                t.set_row_deadline(row, tighter);
+            }
+            80..=89 => {
+                let looser = base * rng.gen_range(1u64..5);
+                t.set_row_deadline(row, looser);
+            }
+            90..=94 => {
+                // Keep deadlines within a factor of the base either way.
+                let factor = if t.retention() > base { 0.5 } else { 2.0 };
+                t.scale_deadlines(factor);
+            }
+            _ => {
+                let profile = RetentionProfile::rapid_like(rows, seed ^ step as u64);
+                t.apply_profile(&profile);
+            }
+        }
+        assert_eq!(
+            t.earliest_deadline(),
+            earliest_deadline_by_scan(&t),
+            "seed {seed:#x}, step {step}, {rows} rows"
+        );
+    }
+}
+
+/// The earliest-deadline index names the same row as a linear scan after
+/// every operation, on 1, 3 and 1024 rows and on random shapes.
+#[test]
+fn earliest_deadline_index_matches_linear_scan() {
+    check_index_against_scan(&Geometry::new(1, 1, 1, 1, 64), 0xd4a0_0101, 500);
+    check_index_against_scan(&Geometry::new(1, 3, 1, 1, 64), 0xd4a0_0102, 2_000);
+    check_index_against_scan(&Geometry::new(2, 4, 128, 4, 64), 0xd4a0_0103, 4_000);
+    let mut rng = Rng::seed_from_u64(0xd4a0_0104);
+    for i in 0..16 {
+        let g = sample_geometry(&mut rng);
+        check_index_against_scan(&g, 0xd4a0_0200 + i, 500);
+    }
+}
+
+/// With every deadline equal the lowest row wins, and restoring rows in
+/// ascending order hands the lead to the next row each time, then back
+/// to row 0 once a full sweep has restored every row at the same instant.
+#[test]
+fn earliest_deadline_ties_go_to_the_lowest_row() {
+    let g = Geometry::new(2, 4, 128, 4, 64);
+    let mut t = RetentionTracker::new(&g, Duration::from_ms(64));
+    let sweep = Instant::ZERO + Duration::from_ms(10);
+    for row in 0..t.len() as u64 {
+        assert_eq!(t.earliest_deadline(), Some(row));
+        t.restore(row, sweep);
+    }
+    assert_eq!(t.earliest_deadline(), Some(0));
 }

@@ -50,66 +50,75 @@ pub enum Decode {
     Uncorrectable,
 }
 
-/// True for the check-bit positions of the inner Hamming(71,64) code.
-const fn is_check_position(pos: u32) -> bool {
-    pos.is_power_of_two()
+/// The six runs of data positions between the check bits, as
+/// `(first position, length)`: payload bit 0 lands at position 3, bits 1–3
+/// at 5–7, bits 4–10 at 9–15, and so on up to bits 57–63 at 65–71.
+const DATA_SPANS: [(u32, u32); 6] = [(3, 1), (5, 3), (9, 7), (17, 15), (33, 31), (65, 7)];
+
+/// `SYNDROME_MASKS[i]` selects the positions in `1..=71` whose index has
+/// bit `i` set; the parity of the word under it is syndrome bit `i`.
+const SYNDROME_MASKS: [u128; 7] = syndrome_masks();
+
+const fn syndrome_masks() -> [u128; 7] {
+    let mut masks = [0u128; 7];
+    let mut pos = 1;
+    while pos < CODE_BITS {
+        let mut i = 0;
+        while i < 7 {
+            if pos >> i & 1 == 1 {
+                masks[i] |= 1 << pos;
+            }
+            i += 1;
+        }
+        pos += 1;
+    }
+    masks
 }
 
 /// Encodes a 64-bit payload into a 72-bit SECDED codeword.
 pub fn encode(data: u64) -> u128 {
-    let mut word: u128 = 0;
-    // Scatter data bits over the non-check positions 3, 5, 6, 7, 9, ...
-    let mut src = 0;
-    for pos in 1..CODE_BITS {
-        if is_check_position(pos) {
-            continue;
-        }
-        if data >> src & 1 == 1 {
-            word |= 1 << pos;
-        }
-        src += 1;
-    }
-    debug_assert_eq!(src, DATA_BITS);
+    let mut word = scatter(data);
     // Each Hamming check bit makes the XOR over the positions containing
     // its index bit come out even.
     let syn = syndrome(word);
     for i in 0..7 {
-        if syn >> i & 1 == 1 {
-            word |= 1 << (1u32 << i);
-        }
+        word |= u128::from(syn >> i & 1) << (1u32 << i);
     }
     debug_assert_eq!(syndrome(word), 0);
     // Overall parity bit makes the full 72-bit popcount even.
-    if word.count_ones() % 2 == 1 {
-        word |= 1;
-    }
-    word
+    word | u128::from(word.count_ones() & 1)
 }
 
 /// XOR of the positions (1..=71) of all set bits — zero for a valid word,
 /// and equal to the flipped position after any single flip in 1..=71.
+/// Computed as seven masked parities, one per syndrome bit.
 fn syndrome(word: u128) -> u32 {
     let mut syn = 0;
-    for pos in 1..CODE_BITS {
-        if word >> pos & 1 == 1 {
-            syn ^= pos;
-        }
+    for (i, mask) in SYNDROME_MASKS.iter().enumerate() {
+        syn |= ((word & mask).count_ones() & 1) << i;
     }
     syn
+}
+
+/// Spreads the 64 payload bits over the data positions, one shift and
+/// mask per span.
+fn scatter(data: u64) -> u128 {
+    let mut word = 0u128;
+    let mut src = 0;
+    for (pos, len) in DATA_SPANS {
+        word |= u128::from(data >> src & ((1 << len) - 1)) << pos;
+        src += len;
+    }
+    word
 }
 
 /// Gathers the 64 payload bits back out of a codeword.
 fn extract(word: u128) -> u64 {
     let mut data = 0u64;
     let mut dst = 0;
-    for pos in 1..CODE_BITS {
-        if is_check_position(pos) {
-            continue;
-        }
-        if word >> pos & 1 == 1 {
-            data |= 1 << dst;
-        }
-        dst += 1;
+    for (pos, len) in DATA_SPANS {
+        data |= ((word >> pos) as u64 & ((1 << len) - 1)) << dst;
+        dst += len;
     }
     data
 }
@@ -179,10 +188,14 @@ mod tests {
     }
 
     #[test]
-    fn check_positions_are_the_powers_of_two() {
-        let checks: Vec<u32> = (1..CODE_BITS).filter(|p| is_check_position(*p)).collect();
-        assert_eq!(checks, vec![1, 2, 4, 8, 16, 32, 64]);
-        assert_eq!(CODE_BITS - 1 - checks.len() as u32, DATA_BITS);
+    fn data_spans_fill_every_non_check_position() {
+        let spans: Vec<u32> = DATA_SPANS
+            .iter()
+            .flat_map(|&(pos, len)| pos..pos + len)
+            .collect();
+        let non_check: Vec<u32> = (1..CODE_BITS).filter(|p| !p.is_power_of_two()).collect();
+        assert_eq!(spans, non_check);
+        assert_eq!(spans.len() as u32, DATA_BITS);
     }
 
     #[test]

@@ -77,10 +77,15 @@ impl EccMemory {
 
     /// Decodes the row's representative word as the controller would see
     /// it on a read or scrub.
+    ///
+    /// A row with no flips decodes clean by construction, so only a
+    /// flipped row pays for the encode and decode.
     pub fn read(&self, flat_index: u64) -> Decode {
-        let word = encode(Self::stored_data(flat_index));
-        let mask = self.flips.get(&flat_index).copied().unwrap_or(0);
-        decode(word ^ mask)
+        let data = Self::stored_data(flat_index);
+        match self.flips.get(&flat_index) {
+            Some(&mask) => decode(encode(data) ^ mask),
+            None => Decode::Clean { data },
+        }
     }
 
     /// Clears the row's flip mask — the effect of a corrected write-back

@@ -8,8 +8,6 @@
 //! derating) are applied once to the device's retention tracker via
 //! [`FaultInjector::apply_static_faults`].
 
-use std::collections::BTreeMap;
-
 use smartrefresh_dram::rng::Rng;
 use smartrefresh_dram::time::{Duration, Instant};
 use smartrefresh_dram::{Geometry, RetentionTracker, RowAddr};
@@ -281,9 +279,10 @@ pub struct FaultInjector {
     in_stall: bool,
     vrt_runtime: Vec<VrtRuntime>,
     /// Per-victim hammer pressure: adjacent-row ACTs since the victim's own
-    /// last charge restore, keyed by flat row index. Grows only for rows a
-    /// [`FaultKind::Disturbance`] spec covers.
-    disturbance_pressure: BTreeMap<u64, u32>,
+    /// last charge restore, indexed by flat row. Sized to the module on the
+    /// first activation seen with a [`FaultKind::Disturbance`] spec (empty
+    /// until then); grows only for rows such a spec covers.
+    disturbance_pressure: Vec<u32>,
     /// Seeded draw stream for the probabilistic flip decision at each
     /// threshold crossing. Installed by [`FaultInjector::with_disturbance`];
     /// lazily created from the default seed otherwise.
@@ -609,7 +608,10 @@ impl FaultInjector {
     /// The accumulated hammer pressure on flat row `flat`: adjacent-row
     /// ACTs since the row's own last charge restore.
     pub fn disturbance_pressure(&self, flat: u64) -> u32 {
-        self.disturbance_pressure.get(&flat).copied().unwrap_or(0)
+        self.disturbance_pressure
+            .get(flat as usize)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// The per-ACT hook: `aggressor` was just activated at `now`. Its own
@@ -632,8 +634,11 @@ impl FaultInjector {
         if !self.has_disturbance() {
             return flips;
         }
-        self.disturbance_pressure
-            .remove(&geometry.flatten(aggressor));
+        let rows = geometry.total_rows() as usize;
+        if self.disturbance_pressure.len() < rows {
+            self.disturbance_pressure.resize(rows, 0);
+        }
+        self.disturbance_pressure[geometry.flatten(aggressor) as usize] = 0;
         let neighbors = [aggressor.row.checked_sub(1), aggressor.row.checked_add(1)];
         for victim_row in neighbors.into_iter().flatten() {
             if victim_row >= geometry.rows() {
@@ -656,7 +661,7 @@ impl FaultInjector {
                 continue;
             };
             let flat = geometry.flatten(victim);
-            let pressure = self.disturbance_pressure.entry(flat).or_insert(0);
+            let pressure = &mut self.disturbance_pressure[flat as usize];
             *pressure += 1;
             let pressure = *pressure;
             if !pressure.is_multiple_of(threshold) {
@@ -684,7 +689,12 @@ impl FaultInjector {
     /// The charge of `row` was restored by a refresh, scrub, or RFM victim
     /// refresh: its accumulated hammer pressure clears.
     pub fn note_row_restored(&mut self, geometry: &Geometry, row: RowAddr) {
-        self.disturbance_pressure.remove(&geometry.flatten(row));
+        if let Some(pressure) = self
+            .disturbance_pressure
+            .get_mut(geometry.flatten(row) as usize)
+        {
+            *pressure = 0;
+        }
     }
 
     /// True when any drop, delay, or stall spec exists (the injector can
