@@ -2,9 +2,10 @@
 //!
 //! The `benches/` directory holds two kinds of targets:
 //!
-//! * `micro` — Criterion micro-benchmarks of the hot components (counter
-//!   array, stagger walk, pending queue, DRAM command layer, workload
-//!   generation, controller access path);
+//! * `micro` — a plain timing harness (`harness = false`, no external
+//!   framework) over the hot components: counter array, stagger walk,
+//!   pending queue, DRAM command layer, workload generation and the
+//!   controller access path;
 //! * `fig*` / `abl_*` — `harness = false` binaries that regenerate each
 //!   table/figure of the paper or run an ablation, printing paper-vs-measured
 //!   tables. `SMARTREFRESH_SCALE` (default 1.0) scales the simulated spans.

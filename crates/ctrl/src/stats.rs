@@ -103,7 +103,11 @@ impl ControllerStats {
     /// exclude warm-up periods from measurements.
     ///
     /// `max_latency` is taken from the later snapshot (a maximum cannot be
-    /// meaningfully subtracted).
+    /// meaningfully subtracted), so it is the worst latency of the whole
+    /// run, the `earlier` span included. It is not narrowed to the span
+    /// here because the experiment runner's result digest hashes it:
+    /// resetting the statistics at the warm-up boundary instead would move
+    /// every pinned digest.
     pub fn delta_since(&self, earlier: &ControllerStats) -> ControllerStats {
         ControllerStats {
             transactions: self.transactions - earlier.transactions,

@@ -369,12 +369,8 @@ pub fn run_coschedule_setup(
             .map(|i| sys.channel(i).stats().scrubs_issued)
             .collect(),
     };
-    let mut end_violations = Vec::new();
-    for i in 0..channels {
-        if let Err(rows) = sys.channel(i).device().check_integrity(horizon) {
-            end_violations.extend(rows.into_iter().map(|flat| (i, flat)));
-        }
-    }
+    let end_violations = sys.check_integrity(horizon).err().unwrap_or_default();
+    let ctrl = sys.total_ctrl();
     let power = DramPowerParams::ddr2_2gb();
     Ok(CoscheduleOutcome {
         setup,
@@ -383,24 +379,16 @@ pub fn run_coschedule_setup(
         scrubs,
         forced_scrubs: match &sched {
             Some(s) => s.stats().forced_scrubs,
-            None => (0..channels)
-                .map(|i| sys.channel(i).stats().forced_scrubs)
-                .sum(),
+            None => ctrl.forced_scrubs,
         },
         deferred_scrubs: sched.as_ref().map_or(0, |s| s.stats().deferred_scrubs),
         forced_out_of_slack: sched.as_ref().map_or(0, |s| s.stats().forced_out_of_slack),
         forced_no_idle_bank: sched.as_ref().map_or(0, |s| s.stats().forced_no_idle_bank),
         forced_closures: sched.as_ref().map_or(0, |s| s.stats().forced_closures),
         missed_deadlines: sched.as_ref().map_or(0, |s| s.stats().missed_deadlines),
-        closures: (0..channels)
-            .map(|i| sys.channel(i).device().stats().refreshes_closing_open_page)
-            .sum(),
-        ce_corrected: (0..channels)
-            .map(|i| sys.channel(i).stats().ce_corrected)
-            .sum(),
-        ue_detected: (0..channels)
-            .map(|i| sys.channel(i).stats().ue_detected)
-            .sum(),
+        closures: sys.total_ops().refreshes_closing_open_page,
+        ce_corrected: ctrl.ce_corrected,
+        ue_detected: ctrl.ue_detected,
         final_interval: match &sched {
             Some(s) => s.current_interval(),
             None => cfg.covering().interval,

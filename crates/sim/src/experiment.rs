@@ -16,7 +16,7 @@ use smartrefresh_ctrl::{
 };
 use smartrefresh_dram::profile::RetentionProfile;
 use smartrefresh_dram::time::{Duration, Instant};
-use smartrefresh_dram::{DramDevice, ModuleConfig, OpStats};
+use smartrefresh_dram::{ModuleConfig, OpStats};
 use smartrefresh_energy::{
     BusEnergyModel, DramPowerParams, EccLogicModel, EnergyBreakdown, SramArrayModel,
 };
@@ -79,10 +79,6 @@ impl PolicyKind {
     /// Builds the boxed policy instance for a module (used directly by
     /// multi-channel systems; `run_experiment` calls it internally).
     pub fn build_boxed(&self, module: &ModuleConfig) -> Box<dyn RefreshPolicy> {
-        self.build(module)
-    }
-
-    fn build(&self, module: &ModuleConfig) -> Box<dyn RefreshPolicy> {
         let g = module.geometry;
         let r = module.timing.retention;
         match *self {
@@ -260,7 +256,11 @@ pub struct RunResult {
     pub energy: EnergyBreakdown,
     /// DRAM operation counts over the measurement span.
     pub ops: OpStats,
-    /// Controller statistics over the measurement span.
+    /// Controller statistics over the measurement span, except
+    /// `max_latency`, which is the whole run's worst latency, warm-up
+    /// included (see [`ControllerStats::delta_since`]). It stays so
+    /// because [`crate::digest::digest_run`] hashes it: measuring it over
+    /// the span alone would move every pinned digest.
     pub ctrl: ControllerStats,
     /// Counter-array SRAM traffic (reads, writes) over the span.
     pub sram_ops: (u64, u64),
@@ -404,10 +404,7 @@ where
 {
     assert!(!cfg.measure.is_zero(), "measurement span must be positive");
     let module = &cfg.module;
-    let mut device = DramDevice::new(module.geometry, module.timing);
-    if crate::sanitize::sanitize_from_env() {
-        device.enable_protocol_checker();
-    }
+    let mut device = crate::sanitize::device(module);
     if let Some(seed) = cfg.policy.profile_seed() {
         // Integrity is validated against the same variable-retention
         // profile the policy exploits.
@@ -441,59 +438,20 @@ where
 
     let warm_end = Instant::ZERO + cfg.warmup;
     let horizon = warm_end + cfg.measure;
-    let gen = events.into_iter();
-
-    let mut warm_ops = OpStats::new();
-    let mut warm_ctrl = ControllerStats::new();
-    let mut warm_sram = (0u64, 0u64);
-    let mut warm_open = Duration::ZERO;
-    let mut warm_mem = 0u64;
-    let mut snapped = false;
-
-    for event in gen {
-        if event.time > horizon {
-            break;
-        }
-        if !snapped && event.time > warm_end {
-            mc.advance_to(warm_end)?;
-            warm_ops = *mc.device().stats();
-            warm_ctrl = *mc.stats();
-            let t = mc.policy().sram_traffic();
-            warm_sram = (t.reads, t.writes);
-            warm_open = mc.device().total_open_time(warm_end);
-            warm_mem = memory_behind_cache;
-            snapped = true;
-        }
-        match &mut l3 {
-            None => {
-                mc.access(MemTransaction {
-                    addr: event.addr,
-                    is_write: event.is_write,
-                    arrival: event.time,
-                })?;
-            }
-            Some(cache) => {
-                let t = cache.access(event.addr, event.is_write);
-                memory_behind_cache +=
-                    u64::from(t.memory_fill.is_some()) + u64::from(t.memory_writeback.is_some());
-                mc.access(MemTransaction {
-                    addr: t.stacked_addr,
-                    is_write: t.stacked_is_write,
-                    arrival: event.time,
-                })?;
-            }
-        }
+    let mut events = events.into_iter().peekable();
+    while let Some(event) = events.next_if(|e| e.time <= warm_end) {
+        feed(&mut mc, &mut l3, &mut memory_behind_cache, event)?;
     }
-    if !snapped {
-        // Degenerate: the workload produced no events after warm-up; still
-        // snapshot at the boundary so deltas are well-defined.
-        mc.advance_to(warm_end)?;
-        warm_ops = *mc.device().stats();
-        warm_ctrl = *mc.stats();
-        let t = mc.policy().sram_traffic();
-        warm_sram = (t.reads, t.writes);
-        warm_open = mc.device().total_open_time(warm_end);
-        warm_mem = memory_behind_cache;
+    // Snapshot at the warm-up boundary; the measured span is the
+    // difference against it.
+    mc.advance_to(warm_end)?;
+    let warm_ops = *mc.device().stats();
+    let warm_ctrl = *mc.stats();
+    let warm_sram = mc.policy().sram_traffic();
+    let warm_open = mc.device().total_open_time(warm_end);
+    let warm_mem = memory_behind_cache;
+    for event in events.take_while(|e| e.time <= horizon) {
+        feed(&mut mc, &mut l3, &mut memory_behind_cache, event)?;
     }
     mc.advance_to(horizon)?;
     mc.check_sanitizer(horizon)?;
@@ -501,7 +459,10 @@ where
     let ops = mc.device().stats().delta_since(&warm_ops);
     let ctrl = mc.stats().delta_since(&warm_ctrl);
     let traffic = mc.policy().sram_traffic();
-    let sram_ops = (traffic.reads - warm_sram.0, traffic.writes - warm_sram.1);
+    let sram_ops = (
+        traffic.reads - warm_sram.reads,
+        traffic.writes - warm_sram.writes,
+    );
     let open_time = mc.device().total_open_time(horizon) - warm_open;
     let integrity_ok = mc.device().check_integrity(horizon).is_ok();
     let ended_in_fallback = mc.policy().in_fallback();
@@ -562,6 +523,36 @@ where
         span: cfg.measure,
         apki,
     })
+}
+
+/// Sends one event to the controller, through the stacked cache when the
+/// topology has one; a cache fill or writeback counts one access behind it.
+#[inline]
+fn feed<P: RefreshPolicy>(
+    mc: &mut MemoryController<P>,
+    l3: &mut Option<StackedDramCache>,
+    memory_behind_cache: &mut u64,
+    event: TraceEvent,
+) -> Result<(), SimError> {
+    let tx = match l3 {
+        None => MemTransaction {
+            addr: event.addr,
+            is_write: event.is_write,
+            arrival: event.time,
+        },
+        Some(cache) => {
+            let t = cache.access(event.addr, event.is_write);
+            *memory_behind_cache +=
+                u64::from(t.memory_fill.is_some()) + u64::from(t.memory_writeback.is_some());
+            MemTransaction {
+                addr: t.stacked_addr,
+                is_write: t.stacked_is_write,
+                arrival: event.time,
+            }
+        }
+    };
+    mc.access(tx)?;
+    Ok(())
 }
 
 fn counter_bits(policy: &PolicyKind) -> u32 {

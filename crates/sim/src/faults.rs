@@ -23,7 +23,7 @@ use smartrefresh_core::{
 use smartrefresh_ctrl::{MemTransaction, MemoryController, SimError};
 use smartrefresh_dram::rng::Rng;
 use smartrefresh_dram::time::{Duration, Instant};
-use smartrefresh_dram::{DramDevice, Geometry, ModuleConfig, RowAddr};
+use smartrefresh_dram::{Geometry, ModuleConfig, RowAddr};
 use smartrefresh_faults::{FaultInjector, FaultKind, FaultSite, FaultSpec, FaultStats};
 
 /// What a scenario must demonstrate to pass.
@@ -160,6 +160,59 @@ impl CampaignResult {
     }
 }
 
+/// Counter bits of every campaign controller (the paper's 3-bit
+/// configuration).
+pub(crate) const COUNTER_BITS: u32 = 3;
+
+/// The Smart Refresh engine every campaign runs: 3-bit counters, 8
+/// stagger segments and the §4.6 hysteresis armed, with a §5 pending
+/// queue of `queue_capacity` entries.
+pub(crate) fn campaign_policy(module: &ModuleConfig, queue_capacity: usize) -> SmartRefresh {
+    SmartRefresh::new(
+        module.geometry,
+        module.timing.retention,
+        SmartRefreshConfig {
+            counter_bits: COUNTER_BITS,
+            segments: 8,
+            queue_capacity,
+            hysteresis: Some(HysteresisConfig::paper_defaults()),
+        },
+    )
+}
+
+/// Drives `mc` with the campaigns' background stream, then closes the
+/// run: a read every `gap` to a row drawn from the lower half of the
+/// flat space (redrawn while it lands on an `excluded` row), seeded from
+/// `cfg.seed ^ salt`, followed by `advance_to` and the sanitizer's
+/// end-of-run checks at the horizon.
+pub(crate) fn drive_background<P: RefreshPolicy>(
+    mc: &mut MemoryController<P>,
+    cfg: &CampaignConfig,
+    gap: Duration,
+    salt: u64,
+    excluded: &[u64],
+) -> Result<(), SimError> {
+    let g = cfg.module.geometry;
+    let mut rng = Rng::seed_from_u64(cfg.seed ^ salt);
+    let horizon = Instant::ZERO + cfg.horizon;
+    let mut now = Instant::ZERO;
+    loop {
+        now += gap;
+        if now > horizon {
+            break;
+        }
+        let flat = loop {
+            let candidate = rng.gen_range(0..g.total_rows() / 2);
+            if !excluded.contains(&candidate) {
+                break candidate;
+            }
+        };
+        mc.access(MemTransaction::read(addr_of(&g, g.unflatten(flat)), now))?;
+    }
+    mc.advance_to(horizon)?;
+    mc.check_sanitizer(horizon)
+}
+
 /// Physical byte address of column 0 of `row` under [`Geometry::decode`]'s
 /// column → bank → rank → row interleave.
 pub(crate) fn addr_of(g: &Geometry, row: RowAddr) -> u64 {
@@ -260,23 +313,9 @@ pub fn run_scenario(
     scenario: &FaultScenario,
 ) -> Result<ScenarioOutcome, SimError> {
     let g = cfg.module.geometry;
-    let timing = cfg.module.timing;
-    let policy = SmartRefresh::new(
-        g,
-        timing.retention,
-        SmartRefreshConfig {
-            counter_bits: 3,
-            segments: 8,
-            queue_capacity: scenario.queue_capacity,
-            hysteresis: Some(HysteresisConfig::paper_defaults()),
-        },
-    );
-    let mut device = DramDevice::new(g, timing);
-    if crate::sanitize::sanitize_from_env() {
-        device.enable_protocol_checker();
-    }
-    let mut mc =
-        MemoryController::new(device, policy).with_fault_injector(scenario.injector.clone());
+    let policy = campaign_policy(&cfg.module, scenario.queue_capacity);
+    let mut mc = MemoryController::new(crate::sanitize::device(&cfg.module), policy)
+        .with_fault_injector(scenario.injector.clone());
 
     // Rows with an exact fault site are off-limits to the access stream:
     // an access restores the row's charge, which would mask the loss the
@@ -294,26 +333,8 @@ pub fn run_scenario(
             _ => None,
         })
         .collect();
-
-    let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x5ce2_a210);
+    drive_background(&mut mc, cfg, cfg.access_gap, 0x5ce2_a210, &excluded)?;
     let horizon = Instant::ZERO + cfg.horizon;
-    let mut now = Instant::ZERO;
-    loop {
-        now += cfg.access_gap;
-        if now > horizon {
-            break;
-        }
-        let flat = loop {
-            let candidate = rng.gen_range(0..g.total_rows() / 2);
-            if !excluded.contains(&candidate) {
-                break candidate;
-            }
-        };
-        let addr = addr_of(&g, g.unflatten(flat));
-        mc.access(MemTransaction::read(addr, now))?;
-    }
-    mc.advance_to(horizon)?;
-    mc.check_sanitizer(horizon)?;
 
     let tracker = mc.device().retention();
     let late: Vec<u64> = tracker

@@ -348,12 +348,7 @@ pub fn run_hot_channel_setup(
     let avg = Duration::from_ps(sum_ps / reads.max(1));
 
     let channels = sys.channels();
-    let mut end_violations = Vec::new();
-    for i in 0..channels {
-        if let Err(rows) = sys.channel(i).device().check_integrity(horizon) {
-            end_violations.extend(rows.into_iter().map(|flat| (i, flat)));
-        }
-    }
+    let end_violations = sys.check_integrity(horizon).err().unwrap_or_default();
     let ops = sys.total_ops();
     let power = DramPowerParams::ddr2_2gb();
     let refreshes = ops.cbr_refreshes + ops.ras_only_refreshes;

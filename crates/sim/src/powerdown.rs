@@ -21,23 +21,16 @@
 //! exits nonzero when any expectation fails.
 
 use smartrefresh_core::{
-    CounterPowerConfig, CounterPowerPolicy, DegradeCause, HysteresisConfig, RefreshPolicy,
-    SmartRefresh, SmartRefreshConfig,
+    CounterPowerConfig, CounterPowerPolicy, DegradeCause, RefreshPolicy, SmartRefresh,
 };
 use smartrefresh_ctrl::{
-    ControllerStats, EccConfig, MemTransaction, MemoryController, PowerDownConfig, ScrubConfig,
-    SimError, WatchdogConfig,
+    ControllerStats, EccConfig, MemoryController, PowerDownConfig, ScrubConfig, SimError,
+    WatchdogConfig,
 };
-use smartrefresh_dram::rng::Rng;
 use smartrefresh_dram::time::{Duration, Instant};
-use smartrefresh_dram::DramDevice;
 use smartrefresh_energy::SramArrayModel;
 
-use crate::faults::{addr_of, CampaignConfig};
-
-/// Counter bits used by every campaign controller (the paper's 3-bit
-/// configuration).
-const COUNTER_BITS: u32 = 3;
+use crate::faults::{campaign_policy, drive_background, CampaignConfig, COUNTER_BITS};
 
 /// An honestly-priced persistent configuration for `geometry`: retention
 /// power is the Artisan-90nm leakage of the counter array
@@ -174,31 +167,19 @@ fn controller(
     counter_power: CounterPowerConfig,
 ) -> Result<MemoryController<SmartRefresh>, SimError> {
     let g = cfg.module.geometry;
-    let timing = cfg.module.timing;
-    let retention = timing.retention;
-    let policy = SmartRefresh::new(
-        g,
-        retention,
-        SmartRefreshConfig {
-            counter_bits: COUNTER_BITS,
-            segments: 8,
-            queue_capacity: 8,
-            hysteresis: Some(HysteresisConfig::paper_defaults()),
-        },
-    );
-    let mut device = DramDevice::new(g, timing);
-    if crate::sanitize::sanitize_from_env() {
-        device.enable_protocol_checker();
-    }
+    let retention = cfg.module.timing.retention;
     // ECC with a covering patrol scrub and a retention-scaled watchdog so
     // the conservative-reset wake path exercises both tighten hooks.
     let ecc = EccConfig::new(cfg.seed)
         .with_scrub(ScrubConfig::covering(retention, g.total_rows()))
         .with_watchdog(WatchdogConfig::for_retention(retention));
-    Ok(MemoryController::new(device, policy)
-        .with_powerdown(Some(PowerDownConfig::default()))?
-        .with_counter_power(counter_power)
-        .with_ecc(ecc))
+    Ok(MemoryController::new(
+        crate::sanitize::device(&cfg.module),
+        campaign_policy(&cfg.module, 8),
+    )
+    .with_powerdown(Some(PowerDownConfig::default()))?
+    .with_counter_power(counter_power)
+    .with_ecc(ecc))
 }
 
 /// Runs the idle-heavy background workload under one counter power-state
@@ -220,21 +201,9 @@ fn run_with_gap(
     counter_power: CounterPowerConfig,
     access_gap: Duration,
 ) -> Result<PowerdownOutcome, SimError> {
-    let g = cfg.module.geometry;
     let mut mc = controller(cfg, counter_power)?;
-    let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x90_da3e);
+    drive_background(&mut mc, cfg, access_gap, 0x90_da3e, &[])?;
     let horizon = Instant::ZERO + cfg.horizon;
-    let mut now = Instant::ZERO;
-    loop {
-        now += access_gap;
-        if now > horizon {
-            break;
-        }
-        let flat = rng.gen_range(0..g.total_rows() / 2);
-        mc.access(MemTransaction::read(addr_of(&g, g.unflatten(flat)), now))?;
-    }
-    mc.advance_to(horizon)?;
-    mc.check_sanitizer(horizon)?;
 
     let stats = *mc.stats();
     let decayed_rows = mc

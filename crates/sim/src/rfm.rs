@@ -21,21 +21,18 @@
 //! `examples/rfm.rs` prints the table and `crates/sim/tests/rfm.rs` pins
 //! the expectations (including seed determinism) in CI.
 
-use smartrefresh_core::{
-    DegradationEvent, DegradeCause, HysteresisConfig, RefreshPolicy, SmartRefresh,
-    SmartRefreshConfig,
-};
+use smartrefresh_core::{DegradationEvent, DegradeCause, RefreshPolicy};
 use smartrefresh_ctrl::{
     EccConfig, MemTransaction, MemoryController, RfmConfig, RfmEngineStats, RfmLevel, ScrubConfig,
     SimError,
 };
 use smartrefresh_dram::time::{Duration, Instant};
-use smartrefresh_dram::{DramDevice, Geometry, ModuleConfig, RowAddr};
+use smartrefresh_dram::{Geometry, ModuleConfig, RowAddr};
 use smartrefresh_energy::DramPowerParams;
 use smartrefresh_faults::{FaultInjector, FaultSite};
 use smartrefresh_workloads::{HammerGenerator, HammerPattern, HammerSpec, TraceEvent};
 
-use crate::faults::addr_of;
+use crate::faults::{addr_of, campaign_policy};
 
 /// How the campaign drives the system.
 #[derive(Debug, Clone)]
@@ -244,22 +241,8 @@ pub fn run_rfm_scenario(
     scenario: &RfmScenario,
 ) -> Result<RfmOutcome, SimError> {
     let g = cfg.module.geometry;
-    let timing = cfg.module.timing;
-    let policy = SmartRefresh::new(
-        g,
-        timing.retention,
-        SmartRefreshConfig {
-            counter_bits: 3,
-            segments: 8,
-            queue_capacity: 8,
-            hysteresis: Some(HysteresisConfig::paper_defaults()),
-        },
-    );
-    let mut device = DramDevice::new(g, timing);
-    if crate::sanitize::sanitize_from_env() {
-        device.enable_protocol_checker();
-    }
-    let mut mc = MemoryController::new(device, policy)
+    let policy = campaign_policy(&cfg.module, 8);
+    let mut mc = MemoryController::new(crate::sanitize::device(&cfg.module), policy)
         .with_ecc(
             EccConfig::new(cfg.seed)
                 .with_scrub(ScrubConfig::covering(cfg.scrub_period, g.total_rows())),

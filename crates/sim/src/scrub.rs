@@ -19,20 +19,19 @@
 //! `examples/scrub.rs` prints the table and exits nonzero when any
 //! scenario fails; `crates/sim/tests/scrub.rs` pins the expectations.
 
-use smartrefresh_core::{
-    DegradationEvent, DegradeCause, HysteresisConfig, RefreshPolicy, SmartRefresh,
-    SmartRefreshConfig,
-};
+use smartrefresh_core::{DegradationEvent, DegradeCause, RefreshPolicy, SmartRefresh};
 use smartrefresh_ctrl::{
     EccConfig, MemTransaction, MemoryController, ScrubConfig, SimError, WatchdogConfig,
 };
-use smartrefresh_dram::rng::Rng;
 use smartrefresh_dram::time::{Duration, Instant};
-use smartrefresh_dram::{DramDevice, RowAddr};
+use smartrefresh_dram::RowAddr;
 use smartrefresh_energy::DramPowerParams;
 use smartrefresh_faults::{FaultInjector, FaultKind, FaultSite, FaultSpec};
 
-use crate::faults::{addr_of, CampaignConfig};
+use crate::faults::{addr_of, campaign_policy, drive_background, CampaignConfig};
+
+/// Seed salt of the scrub campaign's background stream.
+const BACKGROUND_SALT: u64 = 0x5c2b_ca3e;
 
 /// What a scrub scenario must demonstrate to pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -253,25 +252,12 @@ fn controller(
     injector: FaultInjector,
     ecc: EccConfig,
 ) -> MemoryController<SmartRefresh> {
-    let g = cfg.module.geometry;
-    let timing = cfg.module.timing;
-    let policy = SmartRefresh::new(
-        g,
-        timing.retention,
-        SmartRefreshConfig {
-            counter_bits: 3,
-            segments: 8,
-            queue_capacity: 8,
-            hysteresis: Some(HysteresisConfig::paper_defaults()),
-        },
-    );
-    let mut device = DramDevice::new(g, timing);
-    if crate::sanitize::sanitize_from_env() {
-        device.enable_protocol_checker();
-    }
-    MemoryController::new(device, policy)
-        .with_fault_injector(injector)
-        .with_ecc(ecc)
+    MemoryController::new(
+        crate::sanitize::device(&cfg.module),
+        campaign_policy(&cfg.module, 8),
+    )
+    .with_fault_injector(injector)
+    .with_ecc(ecc)
 }
 
 /// Runs one scrub scenario.
@@ -287,22 +273,13 @@ pub fn run_scrub_scenario(
 ) -> Result<ScrubOutcome, SimError> {
     let g = cfg.module.geometry;
     let mut mc = controller(cfg, scenario.injector.clone(), scenario.ecc);
-    let horizon = Instant::ZERO + cfg.horizon;
     match scenario.driver {
         Driver::Background => {
-            let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x5c2b_ca3e);
-            let mut now = Instant::ZERO;
-            loop {
-                now += cfg.access_gap;
-                if now > horizon {
-                    break;
-                }
-                let flat = rng.gen_range(0..g.total_rows() / 2);
-                mc.access(MemTransaction::read(addr_of(&g, g.unflatten(flat)), now))?;
-            }
+            drive_background(&mut mc, cfg, cfg.access_gap, BACKGROUND_SALT, &[])?;
         }
         Driver::Hammer { victim, period } => {
             let addr = addr_of(&g, victim);
+            let horizon = Instant::ZERO + cfg.horizon;
             let mut now = Instant::ZERO;
             loop {
                 now += period;
@@ -311,10 +288,10 @@ pub fn run_scrub_scenario(
                 }
                 mc.access(MemTransaction::read(addr, now))?;
             }
+            mc.advance_to(horizon)?;
+            mc.check_sanitizer(horizon)?;
         }
     }
-    mc.advance_to(horizon)?;
-    mc.check_sanitizer(horizon)?;
 
     let stats = *mc.stats();
     Ok(ScrubOutcome {
@@ -350,19 +327,7 @@ pub fn scrub_savings(
             ecc = ecc.with_scrub(s);
         }
         let mut mc = controller(cfg, FaultInjector::new(), ecc);
-        let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x5c2b_ca3e);
-        let horizon = Instant::ZERO + cfg.horizon;
-        let mut now = Instant::ZERO;
-        loop {
-            now += cfg.access_gap;
-            if now > horizon {
-                break;
-            }
-            let flat = rng.gen_range(0..g.total_rows() / 2);
-            mc.access(MemTransaction::read(addr_of(&g, g.unflatten(flat)), now))?;
-        }
-        mc.advance_to(horizon)?;
-        mc.check_sanitizer(horizon)?;
+        drive_background(&mut mc, cfg, cfg.access_gap, BACKGROUND_SALT, &[])?;
         let ops = mc.device().stats();
         Ok((ops.total_refreshes(), ops.scrubs))
     };

@@ -13,7 +13,7 @@ use smartrefresh_ctrl::{
     SimError,
 };
 use smartrefresh_dram::time::{Duration, Instant};
-use smartrefresh_dram::{DramDevice, ModuleConfig, OpStats};
+use smartrefresh_dram::{ModuleConfig, OpStats};
 use smartrefresh_faults::FaultInjector;
 
 use crate::experiment::PolicyKind;
@@ -93,15 +93,10 @@ impl MultiChannelSystem {
                 what: "the channel interleave must be a power of two bytes",
             });
         }
-        let sanitize = crate::sanitize::sanitize_from_env();
         let controllers = (0..channels)
             .map(|_| {
-                let mut device = DramDevice::new(module.geometry, module.timing);
-                if sanitize {
-                    device.enable_protocol_checker();
-                }
-                let policy = policy_of().build_boxed(&module);
-                MemoryController::new(device, policy)
+                let device = crate::sanitize::device(&module);
+                MemoryController::new(device, policy_of().build_boxed(&module))
             })
             .collect();
         Ok(MultiChannelSystem {
@@ -304,20 +299,60 @@ impl MultiChannelSystem {
         sum
     }
 
-    /// Sum of the channels' controller statistics.
+    /// Sum of the channels' controller statistics: every counter and
+    /// duration is summed, and `max_latency` is the worst channel's.
     pub fn total_ctrl(&self) -> ControllerStats {
         let mut sum = ControllerStats::new();
         for c in &self.controllers {
-            let s = c.stats();
-            sum.transactions += s.transactions;
-            sum.row_hits += s.row_hits;
-            sum.row_misses += s.row_misses;
-            sum.row_conflicts += s.row_conflicts;
-            sum.total_latency += s.total_latency;
-            sum.max_latency = sum.max_latency.max(s.max_latency);
-            sum.refreshes_issued += s.refreshes_issued;
-            sum.bus_charged_refreshes += s.bus_charged_refreshes;
-            sum.powerdown_time += s.powerdown_time;
+            // Destructured without `..`, so a new field cannot be left out.
+            let ControllerStats {
+                transactions,
+                row_hits,
+                row_misses,
+                row_conflicts,
+                total_latency,
+                max_latency,
+                refreshes_issued,
+                bus_charged_refreshes,
+                refreshes_dropped,
+                refreshes_delayed,
+                powerdown_time,
+                powerdown_windows,
+                counter_retention_time,
+                counters_reset_on_wake,
+                counter_snapshots,
+                counter_snapshot_entries,
+                scrubs_issued,
+                forced_scrubs,
+                ce_corrected,
+                ue_detected,
+                rfm_commands,
+                rfm_row_refreshes,
+                rfm_backpressure_stalls,
+            } = *c.stats();
+            sum.transactions += transactions;
+            sum.row_hits += row_hits;
+            sum.row_misses += row_misses;
+            sum.row_conflicts += row_conflicts;
+            sum.total_latency += total_latency;
+            sum.max_latency = sum.max_latency.max(max_latency);
+            sum.refreshes_issued += refreshes_issued;
+            sum.bus_charged_refreshes += bus_charged_refreshes;
+            sum.refreshes_dropped += refreshes_dropped;
+            sum.refreshes_delayed += refreshes_delayed;
+            sum.powerdown_time += powerdown_time;
+            sum.powerdown_windows += powerdown_windows;
+            sum.counter_retention_time += counter_retention_time;
+            sum.counters_reset_on_wake += counters_reset_on_wake;
+            sum.counter_snapshots += counter_snapshots;
+            sum.counter_snapshot_entries += counter_snapshot_entries;
+            sum.scrubs_issued += scrubs_issued;
+            sum.forced_scrubs += forced_scrubs;
+            sum.ce_corrected += ce_corrected;
+            sum.ue_detected += ue_detected;
+            sum.rfm_commands += rfm_commands;
+            sum.rfm_row_refreshes += rfm_row_refreshes;
+            sum.rfm_backpressure_stalls += rfm_backpressure_stalls;
         }
         sum
     }
@@ -326,15 +361,23 @@ impl MultiChannelSystem {
     ///
     /// # Errors
     ///
-    /// Returns the index of the first violating channel together with its
-    /// decayed rows.
-    pub fn check_integrity(&self, t: Instant) -> Result<(), (usize, Vec<u64>)> {
-        for (i, c) in self.controllers.iter().enumerate() {
-            if let Err(rows) = c.device().check_integrity(t) {
-                return Err((i, rows));
-            }
+    /// Returns every decayed row as a `(channel, flat row index)` pair,
+    /// in channel order.
+    pub fn check_integrity(&self, t: Instant) -> Result<(), Vec<(usize, u64)>> {
+        let decayed: Vec<(usize, u64)> = self
+            .controllers
+            .iter()
+            .enumerate()
+            .flat_map(|(i, c)| {
+                let rows = c.device().check_integrity(t).err().unwrap_or_default();
+                rows.into_iter().map(move |flat| (i, flat))
+            })
+            .collect();
+        if decayed.is_empty() {
+            Ok(())
+        } else {
+            Err(decayed)
         }
-        Ok(())
     }
 
     /// Runs the protocol sanitizer's end-of-run checks on every channel at
@@ -431,6 +474,37 @@ mod tests {
         let ch1 = sys.channel(1).device().stats().ras_only_refreshes;
         // Channel 0's hot rows skip refreshes; idle channel 1 sweeps fully.
         assert!(ch0 < ch1, "hot channel {ch0} vs idle channel {ch1}");
+    }
+
+    #[test]
+    fn total_ctrl_sums_every_field_of_every_channel() {
+        let module = mini();
+        let covering = smartrefresh_ctrl::ScrubConfig::covering(
+            module.timing.retention,
+            module.geometry.total_rows(),
+        );
+        let mut sys = MultiChannelSystem::new(module, 2, 4096, smart_kind)
+            .unwrap()
+            .with_ecc(|i| EccConfig::new(i as u64).with_scrub(covering));
+        let mut now = Instant::ZERO;
+        for step in 0..1600u64 {
+            now = Instant::ZERO + Duration::from_us(10) * step; // 16 ms total
+            sys.access((step % 24) * 4096, step % 3 == 0, now).unwrap();
+        }
+        sys.advance_to(now).unwrap();
+        let (ch0, ch1) = (*sys.channel(0).stats(), *sys.channel(1).stats());
+        let total = sys.total_ctrl();
+        assert!(total.scrubs_issued > 0, "the covering patrol must scrub");
+        // `delta_since` subtracts field by field, so the total minus one
+        // channel is the other channel in every summed field.
+        assert_eq!(
+            ControllerStats {
+                max_latency: ch1.max_latency,
+                ..total.delta_since(&ch0)
+            },
+            ch1
+        );
+        assert_eq!(total.max_latency, ch0.max_latency.max(ch1.max_latency));
     }
 
     #[test]
